@@ -32,6 +32,9 @@ use crate::time::Timestamp;
 /// Column index of the dictionary-encoded event name.
 pub const NAME_COLUMN: usize = 1;
 
+/// Column index of the fixed-width little-endian user id.
+const USER_COLUMN: usize = 2;
+
 /// Rows per sealed row group. Matches the spirit of the row writer's block
 /// target: large enough to amortize per-group footers, small enough that
 /// zone maps prune at sub-file granularity.
@@ -178,6 +181,15 @@ fn cell_bytes<'a>(
     }
 }
 
+/// The user id of one row, read from its user-id cell alone. A point
+/// lookup tests this before paying for [`client_event_from_group`]; `None`
+/// means the column was not projected or the cell is malformed.
+pub fn user_id_from_group(file: &ColumnarFile, group: &ColumnGroup, row: usize) -> Option<i64> {
+    Some(i64::from_le_bytes(
+        cell_bytes(file, group, USER_COLUMN, row)?.try_into().ok()?,
+    ))
+}
+
 /// Decodes one row of a fully projected group back into a [`ClientEvent`]
 /// struct — the form the materializer and log mover work in, as opposed to
 /// the dataflow tuple the codec produces. `None` drops the row, exactly as
@@ -193,7 +205,7 @@ pub fn client_event_from_group(
     let initiator = EventInitiator::from_code(*code as i8)?;
     let name =
         EventName::parse(std::str::from_utf8(cell_bytes(file, group, 1, row)?).ok()?).ok()?;
-    let user_id = i64::from_le_bytes(cell_bytes(file, group, 2, row)?.try_into().ok()?);
+    let user_id = user_id_from_group(file, group, row)?;
     let session_id = std::str::from_utf8(cell_bytes(file, group, 3, row)?).ok()?;
     let ip = std::str::from_utf8(cell_bytes(file, group, 4, row)?).ok()?;
     let millis = i64::from_le_bytes(cell_bytes(file, group, 5, row)?.try_into().ok()?);

@@ -53,8 +53,11 @@ impl ServeObs {
 pub(crate) struct Inner {
     pub(crate) warehouse: Warehouse,
     pub(crate) category: String,
-    /// Committed hour indexes, cached for the query side.
-    pub(crate) hours: BTreeMap<u64, HourIndex>,
+    /// Committed hour indexes, cached for the query side. Each is an
+    /// immutable shared snapshot: lookups take an `Arc` and read it after
+    /// the lock is released, and a re-index swaps in a new `Arc` without
+    /// disturbing readers of the old one.
+    pub(crate) hours: BTreeMap<u64, Arc<HourIndex>>,
     /// Newest hour the mover has delivered (observed via the tap).
     pub(crate) newest_delivered: Option<u64>,
     /// Sum of committed index sizes, in serialized bytes.
@@ -109,7 +112,7 @@ impl Inner {
             .since(&before)
             .uncompressed_bytes_read;
         let bytes = commit_hour_index(&self.warehouse, &self.category, &index)?;
-        if let Some(old) = self.hours.insert(hour, index) {
+        if let Some(old) = self.hours.insert(hour, Arc::new(index)) {
             self.postings_bytes -= encode(&old).len() as u64;
         }
         self.postings_bytes += bytes;
@@ -204,7 +207,7 @@ impl IndexMaintainer {
             match load_hour_index(&inner.warehouse, &inner.category, hour)? {
                 Some(index) => {
                     inner.postings_bytes += encode(&index).len() as u64;
-                    inner.hours.insert(hour, index);
+                    inner.hours.insert(hour, Arc::new(index));
                 }
                 None => {
                     inner.index_hour(hour)?;
@@ -221,8 +224,9 @@ impl IndexMaintainer {
         self.inner.lock().hours.keys().copied().collect()
     }
 
-    /// The committed index for one hour, if any.
-    pub fn hour_index(&self, hour: u64) -> Option<HourIndex> {
+    /// The committed index for one hour, if any — a shared snapshot, not
+    /// a copy; a later re-index of the hour leaves it unchanged.
+    pub fn hour_index(&self, hour: u64) -> Option<Arc<HourIndex>> {
         self.inner.lock().hours.get(&hour).cloned()
     }
 

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== benchmark smoke (every workload at a tiny population)"
+# The benchmark is a workspace of its own that calls the crates' public
+# APIs; building and self-testing it here turns an API change it depends
+# on into a CI failure rather than a broken benchmark run.
+cargo test --release --manifest-path benchmark/Cargo.toml -q
+
 echo "== repro smoke (e14 parallel sweep, e15 pushdown sweep)"
 cargo run --release -q -p uli-bench --bin repro -- --smoke e14 e15
 
